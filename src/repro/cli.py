@@ -865,7 +865,12 @@ def _run_index_query_json(args, index) -> str:
 
 
 def _run_serve(args) -> str:
-    from repro.serve.app import SphereService, make_server, run_until_signal
+    from repro.serve.app import (
+        SphereService,
+        make_server,
+        reload_and_log,
+        run_until_signal,
+    )
 
     service = SphereService(
         args.store,
@@ -913,7 +918,7 @@ def _run_serve(args) -> str:
         flush=True,
     )
     try:
-        run_until_signal(server)
+        run_until_signal(server, lambda: reload_and_log(service))
     finally:
         # Stop accepting/driving job attempts only after the HTTP server
         # has drained, so in-flight submissions settle their journals.

@@ -8,8 +8,10 @@ checkpointable selection engines of :mod:`repro.jobs.select` one
 journalled greedy iteration at a time, and — because each selection is a
 pure function of ``(spec, index)`` with deterministic node-id tie-breaks
 — resumes any crashed job bit-identically from its last committed step.
-HTTP wiring lives in :mod:`repro.serve.handlers`; client-visible errors
-in :mod:`repro.jobs.errors`.
+HTTP wiring lives in the worker tier's route table
+(:class:`repro.serve.handlers.SphereRequestHandler`), which the router
+tier relays ``/jobs/*`` to; client-visible errors in
+:mod:`repro.jobs.errors`.
 """
 
 from repro.jobs.errors import (

@@ -9,8 +9,10 @@ request coalescing and load shedding protecting the on-demand compute path.
 
 Layers (transport-independent core first):
 
-* :mod:`repro.serve.app` — :class:`SphereService` and the draining server;
-* :mod:`repro.serve.handlers` — HTTP routing;
+* :mod:`repro.serve.app` — :class:`SphereService`, the draining server
+  and the signal loop, both shared with the router tier;
+* :mod:`repro.serve.handlers` — the HTTP handler base shared by both
+  tiers, and the worker tier's route table;
 * :mod:`repro.serve.query` — canonical JSON payloads (shared with the CLI);
 * :mod:`repro.serve.cache` / :mod:`repro.serve.coalesce` — hot-path guards;
 * :mod:`repro.serve.metrics` — Prometheus text-format instrumentation;

@@ -34,9 +34,10 @@ refused*:
   are quarantined and surface as explicit ``500 store-corrupt`` errors,
   never as silently-wrong spheres.
 
-:func:`make_server` wraps a service in a draining ``ThreadingHTTPServer``;
-:func:`run_until_signal` runs it until SIGTERM/SIGINT, finishing in-flight
-requests before returning (graceful shutdown), and reloads on SIGHUP.
+:func:`make_server` wraps a service in a :class:`DrainingHTTPServer`, the
+server both serving tiers run on; :func:`run_until_signal` runs it until
+SIGTERM/SIGINT, finishing in-flight requests before returning (graceful
+shutdown), and runs a tier's reload action on SIGHUP.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import threading
 import time
 from contextlib import contextmanager
 from http.server import ThreadingHTTPServer
-from typing import Any, Iterable, Iterator, Union
+from typing import Any, Callable, Iterable, Iterator, Union
 
 from repro.cascades.index import CascadeIndex
 from repro.core.sphere import SphereOfInfluence
@@ -676,13 +677,16 @@ class DrainingHTTPServer(ThreadingHTTPServer):
     ``server_close`` abandon in-flight requests; flipping ``daemon_threads``
     off restores ``socketserver``'s thread tracking, so shutdown drains —
     every accepted request finishes before the process exits.
+
+    Both serving tiers run on it: ``backend`` is the :class:`SphereService`
+    or :class:`~repro.shard.router.ShardRouter` the handler class routes to.
     """
 
     daemon_threads = False
     allow_reuse_address = True
 
-    def __init__(self, address, handler_class, service: SphereService) -> None:
-        self.service = service
+    def __init__(self, address, handler_class, backend) -> None:
+        self.backend = backend
         super().__init__(address, handler_class)
 
 
@@ -695,40 +699,45 @@ def make_server(
     return DrainingHTTPServer((host, port), SphereRequestHandler, service)
 
 
+def reload_and_log(service: SphereService) -> None:
+    """``repro serve``'s SIGHUP action: reload the store, log the outcome.
+
+    A verified hot reload of the store the server was started from (see
+    :meth:`SphereService.reload`); a failed reload leaves the current
+    generation serving.
+    """
+    try:
+        result = service.reload()
+    except ServeError as exc:
+        print(f"[serve] reload failed: {exc.message}", file=sys.stderr)
+    else:
+        print(
+            f"[serve] reloaded store generation {result['generation']} "
+            f"from {result['source']}",
+            file=sys.stderr,
+        )
+
+
 def run_until_signal(
     server: DrainingHTTPServer,
+    on_reload: Callable[[], None],
     signals: tuple[int, ...] = (signal.SIGTERM, signal.SIGINT),
 ) -> None:
     """Serve until one of ``signals`` arrives, then drain and close.
 
     ``BaseServer.shutdown`` blocks until the serve loop exits, so calling
     it from a signal handler running *in* the serving main thread would
-    deadlock; the handler hands it to a helper thread instead.  Must be
+    deadlock; the handler hands it to a helper thread instead.  Where the
+    platform has SIGHUP, it runs ``on_reload`` on a helper thread too.
+    The previous signal handlers are restored before the drain.  Must be
     called from the main thread (CPython delivers signals there).
-
-    Where the platform has SIGHUP, it triggers a verified hot reload of
-    the store the server was started from (see :meth:`SphereService.
-    reload`); the outcome is logged to stderr, and a failed reload leaves
-    the current generation serving.
     """
 
     def request_shutdown(signum, frame):
         threading.Thread(target=server.shutdown, daemon=True).start()
 
     def request_reload(signum, frame):
-        def _do() -> None:
-            try:
-                result = server.service.reload()
-            except ServeError as exc:
-                print(f"[serve] reload failed: {exc.message}", file=sys.stderr)
-            else:
-                print(
-                    f"[serve] reloaded store generation {result['generation']} "
-                    f"from {result['source']}",
-                    file=sys.stderr,
-                )
-
-        threading.Thread(target=_do, daemon=True).start()
+        threading.Thread(target=on_reload, daemon=True).start()
 
     previous = {s: signal.signal(s, request_shutdown) for s in signals}
     if hasattr(signal, "SIGHUP"):

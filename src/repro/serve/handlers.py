@@ -1,26 +1,37 @@
-"""HTTP request routing for the sphere-query service.
+"""The HTTP front shared by both serving tiers.
 
-One ``BaseHTTPRequestHandler`` subclass maps the URL surface onto
+:class:`RoutedRequestHandler` holds the transport plumbing once — JSON
+rendering, error documents, the size-capped body reader, metrics
+recording and route matching — for the worker tier
+(:class:`SphereRequestHandler`, below) and the router tier
+(:class:`~repro.shard.handlers.RouterRequestHandler`).  Each tier declares
+one route table of ``(method, path pattern, endpoint label, handler)``
+rows.  The labels are a stable metrics contract: they are the ``endpoint``
+values of the tier's ``*_requests_total`` / ``*_request_seconds`` series,
+and a request no route matches is labelled ``unknown``.
+
+The worker tier maps the URL surface onto
 :class:`~repro.serve.app.SphereService` methods:
 
-====== ======================== ==========================================
-method path                     service call
-====== ======================== ==========================================
-GET    /healthz                 :meth:`SphereService.healthz`
-GET    /metrics                 :meth:`SphereService.metrics_text`
-GET    /sphere/{node}           :meth:`SphereService.sphere`
-GET    /cascades/{node}         :meth:`SphereService.cascades`
-GET    /cascades/{node}?world=i :meth:`SphereService.cascades`
-GET    /most-reliable           :meth:`SphereService.most_reliable`
-POST   /spheres                 :meth:`SphereService.sphere_batch`
-POST   /admin/reload            :meth:`SphereService.reload`
-POST   /jobs/infmax             :meth:`JobManager.submit` (``202``; ``200``
-                                when an idempotency key deduplicates)
-GET    /jobs                    :meth:`JobManager.list_jobs`
-GET    /jobs/{id}               :meth:`JobManager.status`
-GET    /jobs/{id}/result        :meth:`JobManager.result`
-POST   /jobs/{id}/cancel        :meth:`JobManager.cancel`
-====== ======================== ==========================================
+====== ======================== ============= ================================
+method path                     endpoint      service call
+====== ======================== ============= ================================
+GET    /healthz                 healthz       :meth:`SphereService.healthz`
+GET    /metrics                 metrics       :meth:`SphereService.metrics_text`
+GET    /sphere/{node}           sphere        :meth:`SphereService.sphere`
+GET    /cascades/{node}         cascades      :meth:`SphereService.cascades`
+GET    /cascades/{node}?world=i cascades      :meth:`SphereService.cascades`
+GET    /most-reliable           most_reliable :meth:`SphereService.most_reliable`
+POST   /spheres                 spheres_batch :meth:`SphereService.sphere_batch`
+POST   /admin/reload            admin_reload  :meth:`SphereService.reload`
+POST   /jobs/infmax             jobs_submit   :meth:`JobManager.submit` (``202``;
+                                              ``200`` when an idempotency key
+                                              deduplicates)
+GET    /jobs                    jobs_list     :meth:`JobManager.list_jobs`
+GET    /jobs/{id}               jobs_status   :meth:`JobManager.status`
+GET    /jobs/{id}/result        jobs_result   :meth:`JobManager.result`
+POST   /jobs/{id}/cancel        jobs_cancel   :meth:`JobManager.cancel`
+====== ======================== ============= ================================
 
 The ``/jobs`` family answers ``404`` when no job manager is attached
 (server started without ``--jobs``).
@@ -43,8 +54,9 @@ from __future__ import annotations
 
 import json
 import time
+from functools import partial
 from http.server import BaseHTTPRequestHandler
-from typing import Any
+from typing import Any, Callable
 from urllib.parse import parse_qs, urlsplit
 
 from repro.jobs.errors import JobNotFound
@@ -60,30 +72,57 @@ from repro.serve.query import canonical_json
 #: Max accepted request body (1 MiB — thousands of node ids).
 MAX_BODY_BYTES = 1 << 20
 
-
-def _parse_int(raw: str, name: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadRequest(f"{name} must be an integer, got {raw!r}") from None
+#: ``(method, path pattern, endpoint label, handler)``.  ``{name}``
+#: segments of the pattern bind positional string arguments of the
+#: handler, which sends the response and returns its status.
+Route = tuple[str, str, str, Callable[..., int]]
 
 
-class SphereRequestHandler(BaseHTTPRequestHandler):
-    """Routes requests to the server's :class:`SphereService`."""
+def _match(pattern: str, path: str, parts: list[str]) -> list[str] | None:
+    """The arguments ``pattern`` binds on ``path``, or ``None``.
+
+    A fixed pattern must equal the path; a pattern with ``{name}``
+    segments is matched against the path's non-empty segments.
+    """
+    if "{" not in pattern:
+        return [] if pattern == path else None
+    wanted = pattern.strip("/").split("/")
+    if len(wanted) != len(parts):
+        return None
+    args = []
+    for want, got in zip(wanted, parts):
+        if want.startswith("{"):
+            args.append(got)
+        elif want != got:
+            return None
+    return args
+
+
+class RoutedRequestHandler(BaseHTTPRequestHandler):
+    """JSON-over-HTTP plumbing and route matching for one serving tier.
+
+    Subclasses set ``server_version`` and :attr:`routes`.  The server's
+    ``backend`` (see :class:`~repro.serve.app.DrainingHTTPServer`) must
+    expose the ``request_seconds`` histogram and ``requests_total``
+    counter every routed request is recorded in.
+    """
 
     protocol_version = "HTTP/1.1"
-    server_version = "repro-serve/1.0"
+    routes: tuple[Route, ...] = ()
 
-    # Per-request access logging off by default: the service is instrumented
+    # Per-request access logging off by default: the tiers are instrumented
     # through /metrics instead, and the hammer tests would flood stderr.
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass
 
-    @property
-    def service(self):
-        return self.server.service
-
     # -- plumbing ------------------------------------------------------------
+
+    @staticmethod
+    def _parse_int(raw: str, name: str) -> int:
+        try:
+            return int(raw)
+        except ValueError:
+            raise BadRequest(f"{name} must be an integer, got {raw!r}") from None
 
     def _send(
         self,
@@ -136,15 +175,15 @@ class SphereRequestHandler(BaseHTTPRequestHandler):
         except OSError:
             pass  # client already gone
 
-    def _dispatch(self, endpoint: str, handler) -> None:
+    def _dispatch(self, endpoint: str, handler: Callable[[], int]) -> None:
         """Run one routed handler, recording latency and outcome metrics.
 
         Every exception class ends as a JSON response: :class:`ServeError`
         with its own status, a vanished client silently, and anything else
-        as a sanitized ``500`` that names the exception type but leaks no
-        message or traceback.
+        (an injected chaos fault included) as a sanitized ``500`` that
+        names the exception type but leaks no message or traceback.
         """
-        service = self.service
+        backend = self.server.backend
         start = time.perf_counter()
         status = 500
         try:
@@ -165,78 +204,69 @@ class SphereRequestHandler(BaseHTTPRequestHandler):
             except OSError:
                 pass
         finally:
-            service.request_seconds.observe(
+            backend.request_seconds.observe(
                 time.perf_counter() - start, endpoint=endpoint
             )
-            service.requests_total.inc(endpoint=endpoint, status=str(status))
+            backend.requests_total.inc(endpoint=endpoint, status=str(status))
 
     def _query_params(self) -> dict[str, str]:
         parsed = parse_qs(urlsplit(self.path).query, keep_blank_values=False)
         return {name: values[-1] for name, values in parsed.items()}
 
-    def _read_json_body(self, *, required: bool) -> Any:
-        """The request body as parsed JSON, size-capped before the read."""
+    def _read_body(self) -> bytes | None:
+        """The raw request body (``None`` if empty), size-capped before the read."""
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
             raise BadRequest("Content-Length must be an integer") from None
         if length <= 0:
-            if required:
-                raise BadRequest("this endpoint needs a JSON body")
             return None
         if length > MAX_BODY_BYTES:
             raise PayloadTooLarge(
                 f"body of {length} bytes exceeds the {MAX_BODY_BYTES} limit"
             )
-        raw = self.rfile.read(length)
+        return self.rfile.read(length)
+
+    def _read_json_body(self, *, required: bool) -> Any:
+        """The request body as parsed JSON (``None`` if empty and optional)."""
+        raw = self._read_body()
+        if raw is None:
+            if required:
+                raise BadRequest("this endpoint needs a JSON body")
+            return None
         try:
             return json.loads(raw)
         except json.JSONDecodeError as exc:
             raise BadRequest(f"body is not valid JSON: {exc}") from None
 
-    # -- routes --------------------------------------------------------------
+    # -- routing -------------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
+    def _route(self) -> None:
         path = urlsplit(self.path).path.rstrip("/") or "/"
         parts = [p for p in path.split("/") if p]
-        if path == "/healthz":
-            self._dispatch("healthz", self._handle_healthz)
-        elif path == "/metrics":
-            self._dispatch("metrics", self._handle_metrics)
-        elif len(parts) == 2 and parts[0] == "sphere":
-            self._dispatch("sphere", lambda: self._handle_sphere(parts[1]))
-        elif len(parts) == 2 and parts[0] == "cascades":
-            self._dispatch("cascades", lambda: self._handle_cascades(parts[1]))
-        elif path == "/most-reliable":
-            self._dispatch("most_reliable", self._handle_most_reliable)
-        elif path == "/jobs":
-            self._dispatch("jobs_list", self._handle_jobs_list)
-        elif len(parts) == 2 and parts[0] == "jobs":
-            self._dispatch(
-                "jobs_status", lambda: self._handle_job_status(parts[1])
-            )
-        elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
-            self._dispatch(
-                "jobs_result", lambda: self._handle_job_result(parts[1])
-            )
-        else:
-            self._dispatch("unknown", self._handle_unknown)
+        for method, pattern, endpoint, handler in self.routes:
+            if method != self.command:
+                continue
+            args = _match(pattern, path, parts)
+            if args is not None:
+                self._dispatch(endpoint, partial(handler, self, *args))
+                return
+        self._dispatch("unknown", self._handle_unknown)
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        path = urlsplit(self.path).path.rstrip("/")
-        parts = [p for p in path.split("/") if p]
-        if path == "/spheres":
-            self._dispatch("spheres_batch", self._handle_batch)
-        elif path == "/admin/reload":
-            self._dispatch("admin_reload", self._handle_reload)
-        elif path == "/jobs/infmax":
-            self._dispatch("jobs_submit", self._handle_job_submit)
-        elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "cancel":
-            self._dispatch(
-                "jobs_cancel", lambda: self._handle_job_cancel(parts[1])
-            )
-        else:
-            self._dispatch("unknown", self._handle_unknown)
+    do_GET = do_POST = _route  # noqa: N815 - http.server API
+
+    def _handle_unknown(self) -> int:
+        raise NodeNotFound(f"no route for {self.command} {self.path}")
+
+
+class SphereRequestHandler(RoutedRequestHandler):
+    """Routes requests to the server's :class:`SphereService`."""
+
+    server_version = "repro-serve/1.0"
+
+    @property
+    def service(self):
+        return self.server.backend
 
     # -- endpoint bodies (each returns the response status it sent) ----------
 
@@ -250,23 +280,23 @@ class SphereRequestHandler(BaseHTTPRequestHandler):
         return 200
 
     def _handle_sphere(self, raw_node: str) -> int:
-        node = _parse_int(raw_node, "node")
+        node = self._parse_int(raw_node, "node")
         self._send_json(200, self.service.sphere(node))
         return 200
 
     def _handle_cascades(self, raw_node: str) -> int:
-        node = _parse_int(raw_node, "node")
+        node = self._parse_int(raw_node, "node")
         params = self._query_params()
         world = None
         if "world" in params:
-            world = _parse_int(params["world"], "world")
+            world = self._parse_int(params["world"], "world")
         self._send_json(200, self.service.cascades(node, world))
         return 200
 
     def _handle_most_reliable(self) -> int:
         params = self._query_params()
-        count = _parse_int(params.get("count", "10"), "count")
-        min_size = _parse_int(params.get("min-size", "2"), "min-size")
+        count = self._parse_int(params.get("count", "10"), "count")
+        min_size = self._parse_int(params.get("min-size", "2"), "min-size")
         self._send_json(200, self.service.most_reliable(count, min_size))
         return 200
 
@@ -336,5 +366,17 @@ class SphereRequestHandler(BaseHTTPRequestHandler):
         self._send_json(200, self._jobs().cancel(job_id))
         return 200
 
-    def _handle_unknown(self) -> int:
-        raise NodeNotFound(f"no route for {self.command} {self.path}")
+    routes = (
+        ("GET", "/healthz", "healthz", _handle_healthz),
+        ("GET", "/metrics", "metrics", _handle_metrics),
+        ("GET", "/sphere/{node}", "sphere", _handle_sphere),
+        ("GET", "/cascades/{node}", "cascades", _handle_cascades),
+        ("GET", "/most-reliable", "most_reliable", _handle_most_reliable),
+        ("GET", "/jobs", "jobs_list", _handle_jobs_list),
+        ("GET", "/jobs/{id}", "jobs_status", _handle_job_status),
+        ("GET", "/jobs/{id}/result", "jobs_result", _handle_job_result),
+        ("POST", "/spheres", "spheres_batch", _handle_batch),
+        ("POST", "/admin/reload", "admin_reload", _handle_reload),
+        ("POST", "/jobs/infmax", "jobs_submit", _handle_job_submit),
+        ("POST", "/jobs/{id}/cancel", "jobs_cancel", _handle_job_cancel),
+    )

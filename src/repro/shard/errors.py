@@ -2,9 +2,10 @@
 
 The router never invents data: a request either relays a worker response
 verbatim (including the worker's own 4xx/5xx JSON surface) or fails with
-one of these explicit errors.  Both reuse the JSON error rendering of
-:mod:`repro.serve.handlers`, so clients see one uniform error shape
-whether the refusal happened in a worker or in the router.
+one of these explicit errors.  Both tiers render errors through the
+shared handler base (:class:`repro.serve.handlers.RoutedRequestHandler`),
+so clients see one uniform error shape whether the refusal happened in a
+worker or in the router.
 
 ====  ==========================  ========================================
 code  exception                   cause

@@ -1,23 +1,27 @@
 """HTTP surface of the shard router.
 
-One ``BaseHTTPRequestHandler`` subclass maps the worker URL surface onto
-:class:`~repro.shard.router.ShardRouter` methods:
+:class:`RouterRequestHandler` is the router tier's route table over the
+shared :class:`~repro.serve.handlers.RoutedRequestHandler` base, mapping
+the worker URL surface onto :class:`~repro.shard.router.ShardRouter`
+methods.  The ``endpoint`` column is the label the route's requests carry
+in ``repro_router_requests_total`` and ``repro_router_request_seconds``;
+anything else is ``unknown``.
 
-====== ======================== ==========================================
-method path                     router call
-====== ======================== ==========================================
-GET    /healthz                 :meth:`ShardRouter.healthz` (aggregated)
-GET    /metrics                 :meth:`ShardRouter.metrics_text` (merged)
-GET    /sphere/{node}           :meth:`ShardRouter.sphere` (relayed)
-GET    /cascades/{node}[?world] :meth:`ShardRouter.cascades` (relayed)
-POST   /spheres                 :meth:`ShardRouter.sphere_batch` (scatter)
-POST   /admin/reload            :meth:`ShardRouter.reload` (rolling)
-POST   /admin/scrub             :meth:`ShardRouter.scrub` (anti-entropy)
-POST   /admin/repair            :meth:`ShardRouter.repair` (anti-entropy)
-POST   /jobs/infmax             :meth:`ShardRouter.relay_jobs` (relayed)
-GET    /jobs[/{id}[/result]]    :meth:`ShardRouter.relay_jobs` (relayed)
-POST   /jobs/{id}/cancel        :meth:`ShardRouter.relay_jobs` (relayed)
-====== ======================== ==========================================
+====== ======================== ============= ==============================================
+method path                     endpoint      router call
+====== ======================== ============= ==============================================
+GET    /healthz                 healthz       :meth:`ShardRouter.healthz` (aggregated)
+GET    /metrics                 metrics       :meth:`ShardRouter.metrics_text` (merged)
+GET    /sphere/{node}           sphere        :meth:`ShardRouter.sphere` (relayed)
+GET    /cascades/{node}[?world] cascades      :meth:`ShardRouter.cascades` (relayed)
+POST   /spheres                 spheres_batch :meth:`ShardRouter.sphere_batch` (scatter)
+POST   /admin/reload            admin_reload  :meth:`ShardRouter.reload` (rolling)
+POST   /admin/scrub             admin_scrub   :meth:`ShardRouter.scrub` (anti-entropy)
+POST   /admin/repair            admin_repair  :meth:`ShardRouter.repair` (anti-entropy)
+POST   /jobs/infmax             jobs          :meth:`ShardRouter.relay_jobs` (relayed)
+GET    /jobs[/{a}[/{b}]]        jobs          :meth:`ShardRouter.relay_jobs` (relayed)
+POST   /jobs/{id}/cancel        jobs          :meth:`ShardRouter.relay_jobs` (relayed)
+====== ======================== ============= ==============================================
 
 Single-node responses are *relays*: the worker's status, body bytes,
 ``Content-Type`` and ``Retry-After`` pass through unchanged, so a client
@@ -29,63 +33,22 @@ shape the workers use.
 
 from __future__ import annotations
 
-import json
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import urlsplit
 
-from repro.serve.errors import (
-    BadRequest,
-    NodeNotFound,
-    PayloadTooLarge,
-    RetryableError,
-    ServeError,
-)
-from repro.serve.handlers import MAX_BODY_BYTES
-from repro.serve.query import canonical_json
+from repro.serve.app import DrainingHTTPServer
+from repro.serve.errors import BadRequest
+from repro.serve.handlers import RoutedRequestHandler
 from repro.shard.router import RelayResponse, ShardRouter
 
 
-def _parse_int(raw: str, name: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadRequest(f"{name} must be an integer, got {raw!r}") from None
-
-
-class RouterRequestHandler(BaseHTTPRequestHandler):
+class RouterRequestHandler(RoutedRequestHandler):
     """Routes requests to the server's :class:`ShardRouter`."""
 
-    protocol_version = "HTTP/1.1"
     server_version = "repro-router/1.0"
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass
 
     @property
     def router(self) -> ShardRouter:
-        return self.server.router
-
-    # -- plumbing ------------------------------------------------------------
-
-    def _send(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str = "application/json",
-        extra_headers: tuple[tuple[str, str], ...] = (),
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in extra_headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(self, status: int, payload: Any, **kwargs) -> None:
-        self._send(status, canonical_json(payload), **kwargs)
+        return self.server.backend
 
     def _send_relay(self, response: RelayResponse) -> int:
         """Pass a worker response through byte-for-byte."""
@@ -103,126 +66,6 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
         )
         return response.status
 
-    def _send_error_payload(self, exc: ServeError) -> None:
-        extra: tuple[tuple[str, str], ...] = ()
-        if isinstance(exc, RetryableError):
-            extra = (("Retry-After", format(exc.retry_after, "g")),)
-        self._send_json(
-            exc.status,
-            {"error": {"status": exc.status, "message": exc.message}},
-            extra_headers=extra,
-        )
-
-    def send_error(self, code, message=None, explain=None) -> None:  # noqa: D102
-        # Same JSON error surface as the workers for transport-level
-        # failures (unsupported method, bad request line).
-        code = int(code)
-        if message is None:
-            short, _ = self.responses.get(code, ("error", ""))
-            message = short
-        self.close_connection = True
-        try:
-            body = canonical_json(
-                {"error": {"status": code, "message": str(message)}}
-            )
-            self.send_response(code, str(message))
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.send_header("Connection", "close")
-            self.end_headers()
-            if self.command != "HEAD":
-                self.wfile.write(body)
-        except OSError:
-            pass  # client already gone
-
-    def _dispatch(self, endpoint: str, handler) -> None:
-        router = self.router
-        start = time.perf_counter()
-        status = 500
-        try:
-            status = handler()
-        except ServeError as exc:
-            status = exc.status
-            self._send_error_payload(exc)
-        except BrokenPipeError:
-            pass  # client went away mid-response
-        except Exception as exc:
-            # Includes an InjectedFault from the router.pick site: even a
-            # chaos-armed router answers with an explicit sanitized 500.
-            status = 500
-            try:
-                self._send_json(
-                    500,
-                    {"error": {"status": 500,
-                               "message": f"internal error ({type(exc).__name__})"}},
-                )
-            except OSError:
-                pass
-        finally:
-            router.request_seconds.observe(
-                time.perf_counter() - start, endpoint=endpoint
-            )
-            router.requests_total.inc(endpoint=endpoint, status=str(status))
-
-    def _query_params(self) -> dict[str, str]:
-        parsed = parse_qs(urlsplit(self.path).query, keep_blank_values=False)
-        return {name: values[-1] for name, values in parsed.items()}
-
-    def _read_json_body(self, *, required: bool) -> Any:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            raise BadRequest("Content-Length must be an integer") from None
-        if length <= 0:
-            if required:
-                raise BadRequest("this endpoint needs a JSON body")
-            return None
-        if length > MAX_BODY_BYTES:
-            raise PayloadTooLarge(
-                f"body of {length} bytes exceeds the {MAX_BODY_BYTES} limit"
-            )
-        raw = self.rfile.read(length)
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise BadRequest(f"body is not valid JSON: {exc}") from None
-
-    # -- routes --------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        path = urlsplit(self.path).path.rstrip("/") or "/"
-        parts = [p for p in path.split("/") if p]
-        if path == "/healthz":
-            self._dispatch("healthz", self._handle_healthz)
-        elif path == "/metrics":
-            self._dispatch("metrics", self._handle_metrics)
-        elif len(parts) == 2 and parts[0] == "sphere":
-            self._dispatch("sphere", lambda: self._handle_sphere(parts[1]))
-        elif len(parts) == 2 and parts[0] == "cascades":
-            self._dispatch("cascades", lambda: self._handle_cascades(parts[1]))
-        elif parts and parts[0] == "jobs" and len(parts) <= 3:
-            self._dispatch("jobs", lambda: self._handle_jobs_relay(path))
-        else:
-            self._dispatch("unknown", self._handle_unknown)
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        path = urlsplit(self.path).path.rstrip("/")
-        parts = [p for p in path.split("/") if p]
-        if path == "/spheres":
-            self._dispatch("spheres_batch", self._handle_batch)
-        elif path == "/admin/reload":
-            self._dispatch("admin_reload", self._handle_reload)
-        elif path == "/admin/scrub":
-            self._dispatch("admin_scrub", self._handle_scrub)
-        elif path == "/admin/repair":
-            self._dispatch("admin_repair", self._handle_repair)
-        elif path == "/jobs/infmax" or (
-            len(parts) == 3 and parts[0] == "jobs" and parts[2] == "cancel"
-        ):
-            self._dispatch("jobs", lambda: self._handle_jobs_relay(path))
-        else:
-            self._dispatch("unknown", self._handle_unknown)
-
     # -- endpoint bodies (each returns the response status it sent) ----------
 
     def _handle_healthz(self) -> int:
@@ -236,15 +79,15 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
         return 200
 
     def _handle_sphere(self, raw_node: str) -> int:
-        node = _parse_int(raw_node, "node")
+        node = self._parse_int(raw_node, "node")
         return self._send_relay(self.router.sphere(node))
 
     def _handle_cascades(self, raw_node: str) -> int:
-        node = _parse_int(raw_node, "node")
+        node = self._parse_int(raw_node, "node")
         params = self._query_params()
         world = None
         if "world" in params:
-            world = _parse_int(params["world"], "world")
+            world = self._parse_int(params["world"], "world")
         return self._send_relay(self.router.cascades(node, world))
 
     def _handle_batch(self) -> int:
@@ -291,47 +134,36 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
             raise BadRequest(f"'{name}' must be an integer, got {value!r}")
         return value
 
-    def _handle_jobs_relay(self, path: str) -> int:
+    def _handle_jobs_relay(self, *_segments: str) -> int:
         """Relay a /jobs/* request to the fleet's dedicated jobs worker.
 
         The body passes through as raw bytes (size-capped here, validated
         by the jobs worker) and the response relays verbatim, so a routed
         job call is byte-identical to a direct worker hit.
         """
-        body = self._read_raw_body() if self.command == "POST" else None
+        path = urlsplit(self.path).path.rstrip("/")
+        body = self._read_body() if self.command == "POST" else None
         return self._send_relay(self.router.relay_jobs(self.command, path, body))
 
-    def _read_raw_body(self) -> bytes | None:
-        """The request body bytes for relaying, size-capped before the read."""
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            raise BadRequest("Content-Length must be an integer") from None
-        if length <= 0:
-            return None
-        if length > MAX_BODY_BYTES:
-            raise PayloadTooLarge(
-                f"body of {length} bytes exceeds the {MAX_BODY_BYTES} limit"
-            )
-        return self.rfile.read(length)
-
-    def _handle_unknown(self) -> int:
-        raise NodeNotFound(f"no route for {self.command} {self.path}")
-
-
-class RouterHTTPServer(ThreadingHTTPServer):
-    """Threading HTTP server that drains in-flight requests on close."""
-
-    daemon_threads = False
-    allow_reuse_address = True
-
-    def __init__(self, address, handler_class, router: ShardRouter) -> None:
-        self.router = router
-        super().__init__(address, handler_class)
+    routes = (
+        ("GET", "/healthz", "healthz", _handle_healthz),
+        ("GET", "/metrics", "metrics", _handle_metrics),
+        ("GET", "/sphere/{node}", "sphere", _handle_sphere),
+        ("GET", "/cascades/{node}", "cascades", _handle_cascades),
+        ("GET", "/jobs", "jobs", _handle_jobs_relay),
+        ("GET", "/jobs/{id}", "jobs", _handle_jobs_relay),
+        ("GET", "/jobs/{id}/{tail}", "jobs", _handle_jobs_relay),
+        ("POST", "/spheres", "spheres_batch", _handle_batch),
+        ("POST", "/admin/reload", "admin_reload", _handle_reload),
+        ("POST", "/admin/scrub", "admin_scrub", _handle_scrub),
+        ("POST", "/admin/repair", "admin_repair", _handle_repair),
+        ("POST", "/jobs/infmax", "jobs", _handle_jobs_relay),
+        ("POST", "/jobs/{id}/cancel", "jobs", _handle_jobs_relay),
+    )
 
 
 def make_router_server(
     router: ShardRouter, host: str = "127.0.0.1", port: int = 0
-) -> RouterHTTPServer:
+) -> DrainingHTTPServer:
     """Bind a draining router server (``port=0`` = ephemeral)."""
-    return RouterHTTPServer((host, port), RouterRequestHandler, router)
+    return DrainingHTTPServer((host, port), RouterRequestHandler, router)

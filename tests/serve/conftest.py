@@ -18,6 +18,7 @@ from repro.core.typical_cascade import TypicalCascadeComputer
 from repro.graph.generators import powerlaw_outdegree_digraph
 from repro.problearn.assign import assign_fixed
 from repro.serve.app import SphereService, make_server
+from tests.shard.conftest import RouterUnderTest
 
 #: Nodes whose spheres are precomputed into the store (the warm set).
 WARM_NODES = tuple(range(12))
@@ -82,6 +83,28 @@ def make_service(index, **kwargs) -> SphereService:
     return SphereService(index, **kwargs)
 
 
+def send_raw(port: int, request_bytes: bytes, timeout: float = 10.0) -> bytes:
+    """Send raw bytes on a fresh socket; return everything sent back.
+
+    For fuzzing below the urllib layer: malformed request lines, lying
+    Content-Length headers, non-HTTP garbage.  Half-closes the write
+    side so a well-behaved server responds and then sees EOF.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(request_bytes)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        except TimeoutError:
+            pass
+        return b"".join(chunks)
+
+
 class RunningServer:
     """A live server plus a tiny urllib client for the tests."""
 
@@ -112,25 +135,7 @@ class RunningServer:
             return exc.code, dict(exc.headers), exc.read()
 
     def raw(self, request_bytes: bytes, timeout: float = 10.0) -> bytes:
-        """Send raw bytes on a fresh socket; return everything sent back.
-
-        For fuzzing below the urllib layer: malformed request lines, lying
-        Content-Length headers, non-HTTP garbage.  Half-closes the write
-        side so a well-behaved server responds and then sees EOF.
-        """
-        with socket.create_connection(("127.0.0.1", self.port), timeout=timeout) as sock:
-            sock.sendall(request_bytes)
-            sock.shutdown(socket.SHUT_WR)
-            chunks = []
-            try:
-                while True:
-                    chunk = sock.recv(65536)
-                    if not chunk:
-                        break
-                    chunks.append(chunk)
-            except TimeoutError:
-                pass
-            return b"".join(chunks)
+        return send_raw(self.port, request_bytes, timeout)
 
     def close(self):
         self.server.shutdown()
@@ -152,3 +157,24 @@ def running_server(index, sphere_store):
     yield start
     for server in servers:
         server.close()
+
+
+class RunningRouter(RouterUnderTest):
+    """The shard tests' live router, plus the raw-socket client."""
+
+    def raw(self, request_bytes: bytes, timeout: float = 10.0) -> bytes:
+        return send_raw(self.server.server_address[1], request_bytes, timeout)
+
+
+@pytest.fixture(scope="module")
+def running_router(index_store_path, tmp_path_factory):
+    """A live 2-shard router over this package's index, so a test can hold
+    both serving tiers to one HTTP contract (``max_batch`` matches the
+    fuzz module's worker)."""
+    from repro.shard.partition import load_partition, partition_store
+
+    fleet_dir = tmp_path_factory.mktemp("router-fleet") / "fleet"
+    partition_store(index_store_path, fleet_dir, 2)
+    router = RunningRouter(load_partition(fleet_dir), fleet_dir, max_batch=8)
+    yield router
+    router.close()

@@ -3,6 +3,10 @@
 The contract: no input — however wrong — produces a traceback, a hung
 connection or a non-JSON error page.  Everything maps to a clean 4xx/5xx
 JSON document ``{"error": {"status": ..., "message": ...}}``.
+
+Both serving tiers share one HTTP handler base, so the body-reader and
+transport cases run twice: against the worker, and — through the
+``TestRouter*`` subclasses — against the shard router.
 """
 
 import json
@@ -229,3 +233,19 @@ class TestTransportFuzz:
         status, _, body = server.request("/sphere/1")
         assert status == 200
         assert json.loads(body)["node"] == 1
+
+
+class OnRouter:
+    """Mixin: run the inherited cases against the shard router tier."""
+
+    @pytest.fixture
+    def server(self, running_router):
+        return running_router
+
+
+class TestRouterBatchFuzz(OnRouter, TestBatchFuzz):
+    pass
+
+
+class TestRouterTransportFuzz(OnRouter, TestTransportFuzz):
+    pass

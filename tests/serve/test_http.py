@@ -1,7 +1,15 @@
 """End-to-end tests over a real HTTP server on an ephemeral port."""
 
 import json
+import os
+import signal
+import threading
+import urllib.request
+from http.server import BaseHTTPRequestHandler
 
+import pytest
+
+from repro.serve.app import DrainingHTTPServer, run_until_signal
 from repro.serve.query import canonical_json
 
 from tests.serve.conftest import WARM_NODES
@@ -153,3 +161,66 @@ class TestGracefulShutdown:
             raise AssertionError("server still accepting after close")
         except (urllib.error.URLError, ConnectionError, OSError):
             pass
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGHUP"), reason="needs SIGHUP")
+    def test_signal_loop_reloads_then_drains(self):
+        """``run_until_signal`` — the loop of both ``repro serve`` and
+        ``repro serve-fleet`` — under real signals to this process."""
+        entered, release = threading.Event(), threading.Event()
+        finished = []
+
+        class SlowHandler(BaseHTTPRequestHandler):
+            def do_GET(self):  # noqa: N802 - http.server API
+                entered.set()
+                release.wait(10)
+                self.send_response(204)
+                self.end_headers()
+                finished.append(self.path)
+
+            def log_message(self, format, *args):  # noqa: A002
+                pass
+
+        server = DrainingHTTPServer(("127.0.0.1", 0), SlowHandler, None)
+        url = f"http://127.0.0.1:{server.server_address[1]}/slow"
+        reloads = []
+        reloaded = threading.Event()
+        responses = []
+
+        def on_reload():
+            reloads.append(threading.current_thread().name)
+            reloaded.set()
+
+        def fetch():
+            with urllib.request.urlopen(url, timeout=30) as response:
+                responses.append(response.status)
+
+        def drive():
+            os.kill(os.getpid(), signal.SIGHUP)
+            reloaded.wait(10)
+            client = threading.Thread(target=fetch)
+            client.start()
+            entered.wait(10)
+            os.kill(os.getpid(), signal.SIGTERM)
+            # The drain must wait out the in-flight request.
+            threading.Timer(0.3, release.set).start()
+            client.join(30)
+
+        handled = (signal.SIGTERM, signal.SIGINT, signal.SIGHUP)
+        before = {sig: signal.getsignal(sig) for sig in handled}
+        driver = threading.Timer(0.2, drive)
+        watchdog = threading.Timer(30, server.shutdown)  # never hang the suite
+        driver.start()
+        watchdog.start()
+        try:
+            run_until_signal(server, on_reload)
+            drained = list(finished)
+        finally:
+            watchdog.cancel()
+            release.set()
+            driver.join(30)
+        assert len(reloads) == 1
+        assert reloads[0] != threading.main_thread().name
+        assert drained == ["/slow"]
+        assert responses == [204]
+        assert server.socket.fileno() == -1
+        assert {sig: signal.getsignal(sig) for sig in handled} == before

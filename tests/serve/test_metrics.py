@@ -1,10 +1,15 @@
-"""Unit tests for the stdlib metrics registry."""
+"""Unit tests for the stdlib metrics registry, and the endpoint-label
+contract both serving tiers record requests under."""
 
+import collections
+import re
 import threading
+import time
 
 import pytest
 
 from repro.serve.metrics import Counter, Histogram, MetricsRegistry
+from tests.serve.conftest import RunningServer, make_service
 
 
 class TestCounter:
@@ -107,3 +112,107 @@ class TestRegistry:
             return reg.render()
 
         assert build() == build()
+
+
+#: Paths no route of either tier matches (``test_unknown_get_path_is_404``).
+UNKNOWN_GETS = (
+    "/", "/nope", "/sphere", "/sphere/1/extra", "/spheres", "/admin/reload",
+    "/metrics/extra", "/../etc/passwd",
+)
+
+#: (method, path, body, endpoint label): one request per row of the
+#: worker's route table, plus trailing-slash and unrouted variants.
+SERVE_ROUTES = [
+    ("GET", "/healthz", None, "healthz"),
+    ("GET", "/healthz/", None, "healthz"),
+    ("GET", "/metrics", None, "metrics"),
+    ("GET", "/sphere/1", None, "sphere"),
+    ("GET", "/sphere/1/", None, "sphere"),
+    ("GET", "/cascades/1", None, "cascades"),
+    ("GET", "/cascades/1?world=0", None, "cascades"),
+    ("GET", "/most-reliable", None, "most_reliable"),
+    ("POST", "/spheres", {"nodes": [1]}, "spheres_batch"),
+    ("POST", "/spheres/", {"nodes": [1]}, "spheres_batch"),
+    ("POST", "/admin/reload", None, "admin_reload"),
+    ("POST", "/jobs/infmax", {}, "jobs_submit"),
+    ("GET", "/jobs", None, "jobs_list"),
+    ("GET", "/jobs/", None, "jobs_list"),
+    ("GET", "/jobs/j1", None, "jobs_status"),
+    ("GET", "/jobs/j1/result", None, "jobs_result"),
+    ("POST", "/jobs/j1/cancel", None, "jobs_cancel"),
+    ("POST", "/sphere/1", {}, "unknown"),
+    ("GET", "/jobs/j1/extra", None, "unknown"),
+    *(("GET", path, None, "unknown") for path in UNKNOWN_GETS),
+]
+
+#: The same for the router's route table; every /jobs route is ``jobs``.
+ROUTER_ROUTES = [
+    ("GET", "/healthz", None, "healthz"),
+    ("GET", "/healthz/", None, "healthz"),
+    ("GET", "/metrics", None, "metrics"),
+    ("GET", "/sphere/1", None, "sphere"),
+    ("GET", "/sphere/1/", None, "sphere"),
+    ("GET", "/cascades/1", None, "cascades"),
+    ("GET", "/cascades/1?world=0", None, "cascades"),
+    ("POST", "/spheres", {"nodes": [1]}, "spheres_batch"),
+    ("POST", "/spheres/", {"nodes": [1]}, "spheres_batch"),
+    ("POST", "/admin/reload", None, "admin_reload"),
+    ("POST", "/admin/scrub", None, "admin_scrub"),
+    ("POST", "/admin/repair", {}, "admin_repair"),
+    ("POST", "/jobs/infmax", {}, "jobs"),
+    ("GET", "/jobs", None, "jobs"),
+    ("GET", "/jobs/", None, "jobs"),
+    ("GET", "/jobs/j1", None, "jobs"),
+    ("GET", "/jobs/j1/result", None, "jobs"),
+    ("GET", "/jobs/a/b", None, "jobs"),
+    ("POST", "/jobs/j1/cancel", None, "jobs"),
+    ("GET", "/most-reliable", None, "unknown"),
+    ("POST", "/sphere/1", {}, "unknown"),
+    ("GET", "/jobs/a/b/c", None, "unknown"),
+    *(("GET", path, None, "unknown") for path in UNKNOWN_GETS),
+]
+
+
+@pytest.fixture(scope="module")
+def serve_tier(index, sphere_store):
+    server = RunningServer(make_service(index, spheres=sphere_store))
+    yield server, server.service.requests_total
+    server.close()
+
+
+@pytest.fixture(scope="module")
+def router_tier(running_router):
+    return running_router, running_router.router.requests_total
+
+
+def endpoint_counts(counter: Counter) -> collections.Counter:
+    """Requests per ``endpoint`` label, summed over statuses."""
+    counts: collections.Counter = collections.Counter()
+    for line in counter.render():
+        labels = dict(re.findall(r'(\w+)="([^"]*)"', line))
+        if "endpoint" in labels:
+            counts[labels["endpoint"]] += float(line.rsplit(" ", 1)[1])
+    return counts
+
+
+class TestEndpointLabels:
+    """Dashboards key on these labels; a route-table edit must not move them."""
+
+    @pytest.mark.parametrize(
+        "tier,method,path,body,label",
+        [
+            pytest.param(tier, *row, id=f"{tier}:{row[0]} {row[1]}")
+            for tier, rows in (("serve_tier", SERVE_ROUTES), ("router_tier", ROUTER_ROUTES))
+            for row in rows
+        ],
+    )
+    def test_route_records_its_label(self, request, tier, method, path, body, label):
+        endpoint, counter = request.getfixturevalue(tier)
+        before = endpoint_counts(counter)
+        endpoint.request(path, method=method, body=body)
+        # The counter moves after the response is written: poll briefly.
+        deadline = time.monotonic() + 10
+        while not (delta := endpoint_counts(counter) - before):
+            assert time.monotonic() < deadline, "no request was recorded"
+            time.sleep(0.005)
+        assert delta == collections.Counter({label: 1})
