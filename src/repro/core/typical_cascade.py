@@ -39,8 +39,8 @@ class TypicalCascadeComputer:
 
     Thread safety: :meth:`compute`, :meth:`compute_seed_set` and the index
     read path they use (``CascadeIndex.cascades`` / ``cascade`` /
-    ``cascade_size``) keep all mutable state in locals, and a store-loaded
-    index materialises its lazy per-world views under a lock — so one
+    ``cascade_size``) keep all mutable state in locals, and the index
+    builds its shared all-worlds DAG once, under a lock — so one
     computer may serve concurrent queries from many threads (the online
     service does).  What is *not* safe concurrently with reads is mutating
     the index via ``CascadeIndex.extend``.

@@ -119,9 +119,7 @@ class SpreadOracle:
         """sigma(S) for an arbitrary seed set, without touching state."""
         if len(seeds) == 0:
             return 0.0
-        total = 0
-        for world in range(self._index.num_worlds):
-            total += int(self._index.seed_set_cascade(list(seeds), world).size)
+        total = int(self._index.seed_set_cascade_sizes(list(seeds)).sum())
         return total / self._index.num_worlds
 
 

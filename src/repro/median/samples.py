@@ -30,16 +30,12 @@ class SampleCollection:
             raise ValueError("need at least one sample set")
         self._n = int(universe_size)
         arrays = []
-        for i, s in enumerate(sets):
+        not_1d_at = None
+        for s in sets:
             arr = np.asarray(s, dtype=np.int64)
             if arr.ndim != 1:
-                raise ValueError(f"sample {i} must be one-dimensional")
-            if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= self._n):
-                raise ValueError(
-                    f"sample {i} has elements outside universe 0..{self._n - 1}"
-                )
-            if arr.size > 1 and np.any(arr[1:] <= arr[:-1]):
-                raise ValueError(f"sample {i} must be sorted and duplicate-free")
+                not_1d_at = len(arrays)
+                break
             arrays.append(arr)
         self._sizes = np.array([a.size for a in arrays], dtype=np.int64)
         self._indptr = np.zeros(len(arrays) + 1, dtype=np.int64)
@@ -47,9 +43,39 @@ class SampleCollection:
         self._concat = (
             np.concatenate(arrays) if self._indptr[-1] > 0 else np.zeros(0, np.int64)
         )
+        # Earlier samples' problems are reported first.
+        self._check()
+        if not_1d_at is not None:
+            raise ValueError(f"sample {not_1d_at} must be one-dimensional")
         self._union: np.ndarray | None = None
         self._freq: np.ndarray | None = None
         self._union_idx: np.ndarray | None = None
+
+    def _check(self) -> None:
+        """Bounds and strict sortedness of every sample, in one pass over
+        the packed buffer; the error names the first offending sample."""
+        concat, ends = self._concat, self._indptr[1:]
+        if concat.size == 0:
+            return
+        first_bad = ends.size
+        message = ""
+        if int(concat.min()) < 0 or int(concat.max()) >= self._n:
+            at = int(np.argmax((concat < 0) | (concat >= self._n)))
+            first_bad = int(np.searchsorted(ends, at, side="right"))
+            message = f"has elements outside universe 0..{self._n - 1}"
+        # Step j compares elements j and j + 1; steps that cross from one
+        # sample into the next are masked out.
+        unsorted = concat[1:] <= concat[:-1]
+        cuts = ends[(ends > 0) & (ends < concat.size)]
+        unsorted[cuts - 1] = False
+        if unsorted.any():
+            at = int(np.argmax(unsorted))
+            sample = int(np.searchsorted(ends, at, side="right"))
+            if sample < first_bad:
+                first_bad = sample
+                message = "must be sorted and duplicate-free"
+        if message:
+            raise ValueError(f"sample {first_bad} {message}")
 
     @classmethod
     def from_iterables(

@@ -67,7 +67,7 @@ def sphere_payload(node: int, sphere: "SphereOfInfluence") -> dict[str, Any]:
 def cascade_stats_payload(index: "CascadeIndex", node: int) -> dict[str, Any]:
     """The JSON document of ``GET /cascades/{node}`` (per-world sizes)."""
     node = require_node(node, index.num_nodes)
-    sizes = [index.cascade_size(node, w) for w in range(index.num_worlds)]
+    sizes = index.cascade_sizes(node).tolist()
     return {
         "node": node,
         "num_worlds": index.num_worlds,

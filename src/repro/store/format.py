@@ -26,9 +26,12 @@ members_indptr_offsets    int64    ``l + 1`` offsets into ``members_indptr``
 Reading uses ``numpy.load(..., mmap_mode="r")`` exclusively: opening a
 multi-gigabyte index costs only the header parse plus twelve ``mmap``
 calls, and a cascade query pages in just the components the walk touches.
-The per-world :class:`Condensation` objects and member lists are
-materialised lazily (:class:`_LazyWorldList`), so load time is independent
-of the member-array payload.
+The first cascade query copies the arc columns into the index's
+all-worlds DAG and reads the member columns in place (see
+:mod:`repro.cascades.index`); the per-world :class:`Condensation` objects
+and member lists are zero-copy views built on access
+(:class:`_WorldViews`), so load time is independent of the member-array
+payload.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar, Union
 
 import numpy as np
 
-from repro.runtime.locksan import make_lock
 from repro.store.errors import StoreFormatError, StoreIntegrityError
 from repro.store.fingerprint import digest_file, graph_fingerprint, index_digest
 from repro.store.header import ArrayInfo, IndexStoreHeader
@@ -103,29 +105,26 @@ class _CSRMembers(Sequence[np.ndarray]):
         return self._values[int(self._indptr[comp]) : int(self._indptr[comp + 1])]
 
 
-class _LazyWorldList(Sequence[T]):
-    """Per-world objects materialised on first access, append-friendly.
+class _WorldViews(Sequence[T]):
+    """Per-world objects built by ``factory(i)`` on every access, uncached;
+    append-friendly.
 
     Backs both ``CascadeIndex._conds`` and ``CascadeIndex._members`` for
-    store-loaded indexes: item ``i`` is created by ``factory(i)`` the first
-    time it is requested and cached; :meth:`append` supports in-memory
+    store-loaded indexes.  Cascade queries do not go through them, so
+    they only serve cold per-world passes (the one-time build of the
+    all-worlds DAG, the partitioner, the writer, the fingerprint); each
+    is a handful of zero-copy slices, cheap enough to rebuild rather
+    than cache.
+    :meth:`append` supports in-memory
     :meth:`~repro.cascades.index.CascadeIndex.extend` on loaded indexes.
-
-    Reads are safe from concurrent threads (the serving layer queries one
-    loaded index from a thread pool): materialisation is double-checked
-    under a lock, so every caller observes the one canonical object per
-    world.  ``append`` is *not* thread-safe against readers — ``extend`` on
-    a served index is the caller's race to avoid.
     """
 
-    __slots__ = ("_count", "_factory", "_cache", "_extra", "_materialize_lock")
+    __slots__ = ("_count", "_factory", "_extra")
 
     def __init__(self, count: int, factory: Callable[[int], T]) -> None:
         self._count = int(count)
         self._factory = factory
-        self._cache: dict[int, T] = {}  # guarded-by: _materialize_lock
         self._extra: list[T] = []
-        self._materialize_lock = make_lock("_LazyWorldList._materialize_lock")
 
     def __len__(self) -> int:
         return self._count + len(self._extra)
@@ -140,16 +139,7 @@ class _LazyWorldList(Sequence[T]):
             raise IndexError(f"world {i} out of range (have {len(self)})")
         if i >= self._count:
             return self._extra[i - self._count]
-        # Unlocked first read of double-checked locking: a stale miss just
-        # falls through to the locked re-check, never observes a torn value.
-        hit = self._cache.get(i)  # reprolint: disable=REP701
-        if hit is None:
-            with self._materialize_lock:
-                hit = self._cache.get(i)
-                if hit is None:
-                    hit = self._factory(i)
-                    self._cache[i] = hit
-        return hit
+        return self._factory(i)
 
     def append(self, item: T) -> None:
         self._extra.append(item)
@@ -368,8 +358,9 @@ def read_index(path: PathLike, *, verify: str = "fast") -> "CascadeIndex":
     """Open a store as a query-ready, memory-mapped :class:`CascadeIndex`.
 
     Nothing beyond the header and the ``numpy`` array headers is read
-    eagerly; condensations and member lists are materialised per world on
-    first touch, as zero-copy views into the mapped files.  The returned
+    eagerly; the first cascade query builds the index's all-worlds DAG
+    from the mapped columns, and condensations and member lists are
+    zero-copy views into them, built per access.  The returned
     index supports in-memory :meth:`extend` (the sampler is reconstructed
     from the recorded seed entropy) and exposes the parsed header via
     :attr:`~repro.cascades.index.CascadeIndex.store_header`.
@@ -467,12 +458,13 @@ def read_index(path: PathLike, *, verify: str = "fast") -> "CascadeIndex":
         )
     index = CascadeIndex(
         graph,
-        _LazyWorldList(num_worlds, make_condensation),
+        _WorldViews(num_worlds, make_condensation),
         reduced=header.reduced,
         sampler=sampler,
-        members=_LazyWorldList(num_worlds, make_members),
+        members=_WorldViews(num_worlds, make_members),
         node_comp=node_comp,
     )
     index._store_header = header
     index._store_integrity = integrity
+    index._store_members = (members, mo, members_indptr, mio)
     return index

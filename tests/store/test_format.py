@@ -15,7 +15,7 @@ from repro.store import (
 )
 from repro.store.errors import StoreFormatError, StoreIntegrityError
 from repro.store.fingerprint import digest_of_index, graph_fingerprint
-from repro.store.format import ARRAY_DTYPES, _LazyWorldList
+from repro.store.format import ARRAY_DTYPES, _WorldViews
 
 
 @pytest.fixture
@@ -177,23 +177,23 @@ class TestWriteGuards:
 
 
 class TestLaziness:
-    def test_worlds_materialise_on_first_touch_only(self):
+    def test_worlds_are_built_on_each_touch_only(self):
         calls: list[int] = []
 
         def factory(i: int) -> int:
             calls.append(i)
             return i * 10
 
-        lazy = _LazyWorldList(4, factory)
+        lazy = _WorldViews(4, factory)
         assert calls == []
         assert lazy[2] == 20
-        assert lazy[2] == 20  # cached: factory not re-invoked
-        assert calls == [2]
+        assert lazy[2] == 20  # uncached: built again
+        assert calls == [2, 2]
         assert lazy[1:3] == [10, 20]
-        assert calls == [2, 1]
+        assert calls == [2, 2, 1, 2]
 
     def test_append_extends_past_stored_count(self):
-        lazy = _LazyWorldList(2, lambda i: i)
+        lazy = _WorldViews(2, lambda i: i)
         lazy.append(99)
         assert len(lazy) == 3
         assert lazy[2] == 99
